@@ -166,8 +166,10 @@ class QSVTBackend(abc.ABC):
         """True when ``matrix`` no longer matches the compiled synthesis.
 
         Always true before the first ``prepare``.  The check hashes the matrix
-        bytes (microseconds at paper scale), so callers can afford it on every
-        solve.
+        bytes, which is ``O(nnz)`` work: 0.8–1.2 ms on the ``N = 16384``
+        cycle-graph operator (2-vCPU Xeon), and a refined solve calls it four
+        times — about 10 % of a refined matrix-free solve.  Replacing this
+        per-solve detection with read-only matrices is ROADMAP direction 2(b).
         """
         if self.synthesis_fingerprint is None:
             return True
@@ -832,6 +834,7 @@ class IdealPolynomialBackend(QSVTBackend):
         self.polynomial = _calibrated_polynomial(
             self.kappa_effective, epsilon_l, max_norm=None,
             calibrate=self.calibrate_polynomial, error_convention=self.error_convention)
+        self._transform_singular_values()
         self.epsilon_l = float(epsilon_l)
         self._record_synthesis(mat)
         self._prepared = True
@@ -847,12 +850,23 @@ class IdealPolynomialBackend(QSVTBackend):
             calibrate=self.calibrate_polynomial,
             error_convention=self.error_convention)
         self.matrix = operator
-        self._v = self._sigma = self._wh = None
+        self._v = self._sigma = self._wh = self._transformed = None
         self._matrix_free = True
         self._dilated = not operator.is_symmetric
         self.epsilon_l = float(epsilon_l)
         self._record_synthesis(operator)
         self._prepared = True
+
+    def _transform_singular_values(self) -> None:
+        """Evaluate ``P(Σ/α)`` once per synthesis (dense route).
+
+        The transformed singular values depend only on the compiled
+        polynomial and the SVD, so every ``apply_inverse`` /
+        ``apply_inverse_batch`` reuses them instead of re-running the
+        Clenshaw recurrence per right-hand side.
+        """
+        self._transformed = evaluate_chebyshev(self.polynomial.coefficients,
+                                               self._sigma / self.alpha)
 
     # ------------------------------------------------------------------ #
     def _transform_matrix_free(self, normalized: np.ndarray) -> np.ndarray:
@@ -896,8 +910,7 @@ class IdealPolynomialBackend(QSVTBackend):
         if self._matrix_free:
             raw = self._transform_matrix_free(vector / norm)
         else:
-            transformed = evaluate_chebyshev(self.polynomial.coefficients, self._sigma / self.alpha)
-            raw = self._v @ (transformed * (self._wh @ (vector / norm)))
+            raw = self._v @ (self._transformed * (self._wh @ (vector / norm)))
         raw_norm = np.linalg.norm(raw)
         if raw_norm == 0.0:
             raise BackendError("polynomial transformation produced a zero vector")
@@ -913,8 +926,8 @@ class IdealPolynomialBackend(QSVTBackend):
     def apply_inverse_batch(self, rhs_batch) -> list[BackendApplication]:
         """Batched inverse: one contraction sweep for all ``B`` right-hand sides.
 
-        Dense route: the Chebyshev transform of the singular values is
-        evaluated once and the whole batch is pushed through
+        Dense route: the Chebyshev transform of the singular values,
+        evaluated once at ``prepare``, pushes the whole batch through
         ``V diag(P(Σ/α)) W†`` as a single matrix-matrix product.  Matrix-free
         route: one Clenshaw recurrence over ``matmat`` calls updates all
         ``B`` columns per Chebyshev term.
@@ -928,8 +941,8 @@ class IdealPolynomialBackend(QSVTBackend):
         if self._matrix_free:
             raw = self._transform_matrix_free((batch / norms[:, None]).T).T
         else:
-            transformed = evaluate_chebyshev(self.polynomial.coefficients, self._sigma / self.alpha)
-            raw = (self._v @ (transformed[:, None] * (self._wh @ (batch / norms[:, None]).T))).T
+            raw = (self._v @ (self._transformed[:, None]
+                              * (self._wh @ (batch / norms[:, None]).T))).T
         raw_norms = np.linalg.norm(raw, axis=1)
         if np.any(raw_norms == 0.0):
             raise BackendError("polynomial transformation produced a zero vector")
@@ -950,7 +963,8 @@ class IdealPolynomialBackend(QSVTBackend):
             if self._matrix_free:
                 total += int(np.asarray(self.polynomial.coefficients).nbytes)
             else:
-                total += int(self._v.nbytes + self._sigma.nbytes + self._wh.nbytes)
+                total += int(self._v.nbytes + self._sigma.nbytes + self._wh.nbytes
+                             + self._transformed.nbytes)
         return total
 
     def export_payload(self) -> dict:
@@ -999,7 +1013,7 @@ class IdealPolynomialBackend(QSVTBackend):
             self.matrix = operator
             self._matrix_free = True
             self._dilated = not operator.is_symmetric
-            self._v = self._sigma = self._wh = None
+            self._v = self._sigma = self._wh = self._transformed = None
             restored = operator
         else:
             mat = check_square(np.asarray(arrays["matrix"], dtype=float),
@@ -1014,6 +1028,8 @@ class IdealPolynomialBackend(QSVTBackend):
         self.kappa_effective = float(meta["kappa_effective"])
         self.polynomial = _polynomial_from_meta(meta["polynomial"],
                                                 arrays["poly_coefficients"])
+        if not self._matrix_free:
+            self._transform_singular_values()
         self.epsilon_l = float(meta["epsilon_l"])
         self._record_synthesis(restored)
         self._prepared = True

@@ -109,6 +109,10 @@ def polynomial_error_from_solution_accuracy(epsilon_l: float, kappa: float,
     raise ValueError("convention must be 'conservative' or 'direct'")
 
 
+#: grid size of the default (cached) :meth:`InversePolynomial.relative_inverse_error`.
+_ERROR_GRID_POINTS = 2001
+
+
 @dataclass(frozen=True)
 class InversePolynomial:
     """A (possibly rescaled) odd polynomial approximation of ``1/x``.
@@ -142,14 +146,22 @@ class InversePolynomial:
     inverse_scale: float
     max_norm: float | None = None
     _max_abs: float = field(default=float("nan"), repr=False)
+    _degree: int = field(default=-1, repr=False, compare=False)
+    _inverse_error: float = field(default=float("nan"), repr=False,
+                                  compare=False)
 
     # ------------------------------------------------------------------ #
     @property
     def degree(self) -> int:
-        """Polynomial degree (index of the last nonzero Chebyshev coefficient)."""
-        coeffs = np.asarray(self.coefficients)
-        nonzero = np.nonzero(np.abs(coeffs) > 0)[0]
-        return int(nonzero[-1]) if nonzero.size else 0
+        """Polynomial degree (index of the last nonzero Chebyshev coefficient).
+
+        Computed once, then cached: every backend application reports it.
+        """
+        if self._degree < 0:
+            nonzero = np.nonzero(np.abs(np.asarray(self.coefficients)) > 0)[0]
+            object.__setattr__(self, "_degree",
+                               int(nonzero[-1]) if nonzero.size else 0)
+        return self._degree
 
     @property
     def parity(self) -> int:
@@ -175,14 +187,24 @@ class InversePolynomial:
             object.__setattr__(self, "_max_abs", max_abs_on_interval(self.coefficients))
         return self._max_abs
 
-    def relative_inverse_error(self, *, num_points: int = 2001) -> float:
+    def relative_inverse_error(self, *, num_points: int = _ERROR_GRID_POINTS) -> float:
         """Measured ``max |x · P(x)/s − 1|`` over ``[1/κ, 1]``.
 
         This is the *achieved* relative accuracy of the approximate inverse on
         the spectral domain — the quantity that plays the role of ``ε_l`` in
         the refinement analysis (used by the Figure-4 benchmark where the
-        paper lets the construction determine ``ε_l``).
+        paper lets the construction determine ``ε_l``).  The default-grid
+        value is computed once, then cached: backends report it in every
+        ``describe()``.
         """
+        if num_points != _ERROR_GRID_POINTS:
+            return self._measure_inverse_error(num_points)
+        if np.isnan(self._inverse_error):
+            object.__setattr__(self, "_inverse_error",
+                               self._measure_inverse_error(num_points))
+        return self._inverse_error
+
+    def _measure_inverse_error(self, num_points: int) -> float:
         grid = np.linspace(1.0 / self.kappa, 1.0, num_points)
         values = self.apply_inverse(grid)
         return float(np.max(np.abs(grid * values - 1.0)))
