@@ -50,7 +50,6 @@ from ..utils import (
     as_vector,
     check_square,
     is_power_of_two,
-    matrix_fingerprint,
     payload_nbytes,
 )
 from .sampling import SamplingModel
@@ -94,39 +93,29 @@ class QSVTBackend(abc.ABC):
     """Interface shared by every backend.
 
     Besides the abstract ``prepare`` / ``apply_inverse`` pair, the base class
-    provides two concrete services shared by all implementations:
-
-    * **synthesis fingerprinting** — ``prepare`` implementations call
-      :meth:`_record_synthesis` so that :meth:`is_stale` can later detect a
-      matrix that was mutated *in place* after synthesis (same object, new
-      bytes).  :class:`repro.core.qsvt_solver.QSVTLinearSolver` turns that
-      check into an explicit error + ``recompile()`` path, and
-      :class:`repro.engine.cache.CompiledSolverCache` keys its entries on the
-      same fingerprint, so the two invalidation mechanisms agree by
-      construction.
-    * **batched application** — :meth:`apply_inverse_batch` answers ``B``
-      right-hand sides against the *same* compiled synthesis.  The default is
-      a loop; backends that can amortise the sweep (the circuit backend via
-      :func:`repro.qsp.qsvt_circuit.apply_qsvt_to_vectors`, the ideal backend
-      via one dense contraction) override it.
+    provides **batched application**: :meth:`apply_inverse_batch` answers
+    ``B`` right-hand sides against the *same* compiled synthesis.  The default
+    is a loop; backends that can amortise the sweep (the circuit backend via
+    :func:`repro.qsp.qsvt_circuit.apply_qsvt_to_vectors`, the ideal backend
+    via one dense contraction) override it.
     """
 
     #: human-readable backend name (used in reports).
     name: str = "backend"
 
-    #: fingerprint of the matrix the current synthesis was compiled for
-    #: (``None`` before the first ``prepare``).
-    synthesis_fingerprint: str | None = None
+    #: the matrix object the current synthesis was compiled for, stamped by
+    #: the :class:`~repro.core.qsvt_solver.QSVTLinearSolver` that ran
+    #: ``prepare`` (``None`` before); a solver sharing this backend compares
+    #: it by identity to notice that another solver re-prepared it.
+    prepared_for = None
 
     @abc.abstractmethod
     def prepare(self, matrix, *, epsilon_l: float, kappa: float | None = None) -> None:
         """One-off "circuit synthesis" for the given matrix and inner accuracy.
 
-        Implementations should finish with ``self._record_synthesis(matrix)``
-        so that :meth:`is_stale` works for direct backend use;
-        :class:`~repro.core.qsvt_solver.QSVTLinearSolver` additionally records
-        the fingerprint itself after calling ``prepare``, so subclasses that
-        forget still work through the solver."""
+        ``matrix`` is only read, never written: a solver passes its own
+        read-only array or an immutable structured operator, so the compiled
+        synthesis cannot go stale under the backend."""
 
     @abc.abstractmethod
     def apply_inverse(self, rhs) -> BackendApplication:
@@ -145,10 +134,6 @@ class QSVTBackend(abc.ABC):
         return [self.apply_inverse(batch[i]) for i in range(batch.shape[0])]
 
     # ------------------------------------------------------------------ #
-    def _record_synthesis(self, matrix) -> None:
-        """Remember which matrix bytes the synthesis was compiled against."""
-        self.synthesis_fingerprint = matrix_fingerprint(matrix)
-
     def payload_bytes(self) -> int:
         """Bytes of compiled artefacts this backend keeps alive.
 
@@ -161,19 +146,6 @@ class QSVTBackend(abc.ABC):
         """
         matrix = getattr(self, "matrix", None)
         return payload_nbytes(matrix) if matrix is not None else 0
-
-    def is_stale(self, matrix) -> bool:
-        """True when ``matrix`` no longer matches the compiled synthesis.
-
-        Always true before the first ``prepare``.  The check hashes the matrix
-        bytes, which is ``O(nnz)`` work: 0.8–1.2 ms on the ``N = 16384``
-        cycle-graph operator (2-vCPU Xeon), and a refined solve calls it four
-        times — about 10 % of a refined matrix-free solve.  Replacing this
-        per-solve detection with read-only matrices is ROADMAP direction 2(b).
-        """
-        if self.synthesis_fingerprint is None:
-            return True
-        return matrix_fingerprint(matrix) != self.synthesis_fingerprint
 
     # ------------------------------------------------------------------ #
     # compiled-payload export / import (persistent synthesis store)
@@ -198,7 +170,7 @@ class QSVTBackend(abc.ABC):
 
         Called on a *freshly constructed* backend; after it returns, the
         backend behaves exactly as if ``prepare`` had run against the stored
-        matrix (including the synthesis fingerprint).
+        matrix.
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not support compiled-payload import")
@@ -573,7 +545,6 @@ class CircuitQSVTBackend(QSVTBackend):
             self.block, self.phases, real_part=True,
             dense_block_encoding=self.dense_block_encoding,
             fusion=self.fusion, max_fused_qubits=self.max_fused_qubits)
-        self._record_synthesis(mat)
         self._prepared = True
 
     def _prepare_banded_plan(self, operator, epsilon_l: float,
@@ -634,7 +605,6 @@ class CircuitQSVTBackend(QSVTBackend):
         self.matrix = operator
         self.program = compile_banded_qsvt_program(self.block, self.phases,
                                                    real_part=True)
-        self._record_synthesis(operator)
         self._prepared = True
 
     def apply_inverse(self, rhs) -> BackendApplication:
@@ -735,12 +705,10 @@ class CircuitQSVTBackend(QSVTBackend):
                 f"payload was exported by backend {meta.get('backend')!r}, "
                 f"not {self.name!r}")
         if "operator_state" in meta:
-            self.matrix = mat = operator_from_payload(meta["operator_state"],
-                                                      arrays)
+            self.matrix = operator_from_payload(meta["operator_state"], arrays)
         else:
-            mat = check_square(np.asarray(arrays["matrix"], dtype=float),
-                               name="A")
-            self.matrix = mat
+            self.matrix = check_square(np.asarray(arrays["matrix"], dtype=float),
+                                       name="A")
         self.resolved_block_encoding = str(meta["block_encoding_method"])
         self.block = _RestoredBlockEncoding(**meta["block"])
         self.kappa_effective = float(meta["kappa_effective"])
@@ -750,7 +718,6 @@ class CircuitQSVTBackend(QSVTBackend):
         self.phase_residual = float(meta["phase_residual"])
         self.epsilon_l = float(meta["epsilon_l"])
         self.program = _import_program(meta["program"], arrays)
-        self._record_synthesis(mat)
         self._prepared = True
 
     def describe(self) -> dict:
@@ -836,7 +803,6 @@ class IdealPolynomialBackend(QSVTBackend):
             calibrate=self.calibrate_polynomial, error_convention=self.error_convention)
         self._transform_singular_values()
         self.epsilon_l = float(epsilon_l)
-        self._record_synthesis(mat)
         self._prepared = True
 
     def _prepare_matrix_free(self, operator, epsilon_l: float,
@@ -854,7 +820,6 @@ class IdealPolynomialBackend(QSVTBackend):
         self._matrix_free = True
         self._dilated = not operator.is_symmetric
         self.epsilon_l = float(epsilon_l)
-        self._record_synthesis(operator)
         self._prepared = True
 
     def _transform_singular_values(self) -> None:
@@ -1014,16 +979,13 @@ class IdealPolynomialBackend(QSVTBackend):
             self._matrix_free = True
             self._dilated = not operator.is_symmetric
             self._v = self._sigma = self._wh = self._transformed = None
-            restored = operator
         else:
-            mat = check_square(np.asarray(arrays["matrix"], dtype=float),
-                               name="A")
-            self.matrix = mat
+            self.matrix = check_square(np.asarray(arrays["matrix"], dtype=float),
+                                       name="A")
             self._matrix_free = False
             self._v = np.asarray(arrays["svd_v"])
             self._sigma = np.asarray(arrays["svd_sigma"])
             self._wh = np.asarray(arrays["svd_wh"])
-            restored = mat
         self.alpha = float(meta["alpha"])
         self.kappa_effective = float(meta["kappa_effective"])
         self.polynomial = _polynomial_from_meta(meta["polynomial"],
@@ -1031,7 +993,6 @@ class IdealPolynomialBackend(QSVTBackend):
         if not self._matrix_free:
             self._transform_singular_values()
         self.epsilon_l = float(meta["epsilon_l"])
-        self._record_synthesis(restored)
         self._prepared = True
 
     def describe(self) -> dict:
@@ -1082,7 +1043,6 @@ class ExactInverseBackend(QSVTBackend):
             self.matrix = check_square(np.asarray(matrix, dtype=float), name="A")
         self.epsilon_l = float(epsilon_l)
         self._lu = None
-        self._record_synthesis(self.matrix)
         self._prepared = True
 
     def apply_inverse(self, rhs) -> BackendApplication:

@@ -17,13 +17,19 @@ solver of Algorithm 2.
 
 Synthesis lifecycle
 -------------------
-The expensive synthesis is performed **once** and keyed to the matrix bytes
-(:func:`repro.utils.matrix_fingerprint`).  Mutating the matrix in place after
-construction no longer silently reuses the stale circuits: :meth:`solve`
-raises :class:`~repro.exceptions.StaleSynthesisError` and the caller decides
-between :meth:`recompile` (refresh the synthesis for the new bytes) or a new
-solver.  :class:`repro.engine.cache.CompiledSolverCache` keys its entries on
-the same fingerprint, so a cached solver can never serve a mutated matrix.
+The expensive synthesis is performed **once**, against a matrix the solver
+owns read-only: a dense input is copied once and the copy is frozen
+(``flags.writeable = False``), and structured operators are immutable by
+class.  Neither the caller mutating their own array nor ``solver.matrix *= 2``
+(a numpy ``ValueError``) can therefore pull the matrix away from its
+compiled block-encoding / polynomial / phases, and a warm :meth:`solve`
+never re-hashes it.  The one remaining way for the synthesis to stop
+matching is a backend instance shared between solvers and re-prepared by
+another one; :meth:`solve` detects that with an O(1) identity check and
+raises :class:`~repro.exceptions.StaleSynthesisError`, after which
+:meth:`recompile` refreshes the synthesis.  To solve a different matrix,
+build a new solver (or ask :class:`repro.engine.cache.CompiledSolverCache`,
+which keys its entries on :func:`repro.utils.matrix_fingerprint`).
 
 For many right-hand sides against the same matrix, :meth:`solve_batch`
 answers the whole stack through the backend's batched application (one
@@ -48,7 +54,6 @@ from ..utils import (
     check_square,
     is_linear_operator,
     is_power_of_two,
-    matrix_fingerprint,
     payload_nbytes,
 )
 from .backends import CircuitQSVTBackend, IdealPolynomialBackend, QSVTBackend, make_backend
@@ -64,6 +69,13 @@ _AUTO_DEGREE_LIMIT = 350
 #: data-register size above which the ``"auto"`` backend avoids the dense
 #: circuit simulation.
 _AUTO_DIMENSION_LIMIT = 64
+
+
+def _read_only(matrix):
+    """Freeze a dense matrix in place; structured operators already are."""
+    if isinstance(matrix, np.ndarray):
+        matrix.flags.writeable = False
+    return matrix
 
 
 def auto_backend_name(kappa: float, epsilon_l: float, dimension: int) -> str:
@@ -119,7 +131,10 @@ class QSVTLinearSolver:
             # "auto" resolves to the ideal backend's matrix-free route.
             self.matrix = check_square(matrix, name="A")
         else:
-            self.matrix = check_square(np.asarray(matrix, dtype=float), name="A")
+            # the solver owns a read-only copy: nothing can change the bytes
+            # under the compiled synthesis (see "Synthesis lifecycle").
+            self.matrix = _read_only(check_square(np.array(matrix, dtype=float),
+                                                  name="A"))
         if not 0.0 < epsilon_l < 1.0:
             raise ValueError("epsilon_l must be in (0, 1)")
         self.epsilon_l = float(epsilon_l)
@@ -165,33 +180,18 @@ class QSVTLinearSolver:
     # synthesis lifecycle
     # ------------------------------------------------------------------ #
     def _compile(self) -> None:
-        """Run the backend synthesis and record the matrix fingerprint."""
+        """Run the backend synthesis and stamp the backend with our matrix."""
         start = time.perf_counter()
         self.backend.prepare(self.matrix, epsilon_l=self.epsilon_l, kappa=self.kappa)
         self.preparation_time = time.perf_counter() - start
-        self.fingerprint = matrix_fingerprint(self.matrix)
-        # prepare() just ran against exactly these bytes; recording the
-        # fingerprint on the backend here keeps third-party subclasses whose
-        # prepare() does not call _record_synthesis working through the
-        # solver (and is a no-op for the built-in backends).
-        self.backend.synthesis_fingerprint = self.fingerprint
-
-    def is_stale(self) -> bool:
-        """True when the matrix bytes changed since the last synthesis.
-
-        The solver holds a *reference* to the matrix, so an in-place mutation
-        (``A *= 2``, ``A[0, 0] = ...``) changes the system but not the
-        compiled block-encoding / polynomial / phases.  This check — a hash of
-        the matrix bytes — detects the divergence.
-        """
-        return matrix_fingerprint(self.matrix) != self.fingerprint
+        self.backend.prepared_for = self.matrix
 
     def recompile(self) -> "QSVTLinearSolver":
-        """Re-run the circuit synthesis against the current matrix bytes.
+        """Re-run the circuit synthesis against this solver's matrix.
 
-        Refreshes the condition number (unless one was pinned at
-        construction), the block-encoding, the inverse polynomial and the QSP
-        phases.  Returns ``self`` so the call chains:
+        Needed after another solver re-prepared a shared backend.  Refreshes
+        the condition number (unless one was pinned at construction), the
+        block-encoding, the inverse polynomial and the QSP phases.  Returns ``self`` so the call chains:
         ``solver.recompile().solve(rhs)``.
         """
         self.kappa = (self._user_kappa if self._user_kappa is not None
@@ -241,32 +241,21 @@ class QSVTLinearSolver:
         backend = make_backend(meta["backend"], **backend_options)
         backend.import_payload(payload)
         solver = cls.__new__(cls)
-        solver.matrix = backend.matrix
+        solver.matrix = _read_only(backend.matrix)
         solver.epsilon_l = float(solver_meta["epsilon_l"])
         solver._user_kappa = (None if solver_meta["user_kappa"] is None
                               else float(solver_meta["user_kappa"]))
         solver.kappa = float(solver_meta["kappa"])
         solver.scale_recovery = solver_meta["scale_recovery"]
         solver.backend = backend
-        solver.fingerprint = matrix_fingerprint(solver.matrix)
-        solver.backend.synthesis_fingerprint = solver.fingerprint
+        backend.prepared_for = solver.matrix
         solver.preparation_time = time.perf_counter() - start
         return solver
 
     def _check_fresh(self) -> None:
-        # one hash covers both staleness modes: the stored digests are
-        # compared against a single fingerprint of the current bytes.
-        current = matrix_fingerprint(self.matrix)
-        if current != self.fingerprint:
-            raise StaleSynthesisError(
-                "the matrix was modified in place after circuit synthesis; call "
-                "recompile() to refresh the block-encoding/polynomial/phases, or "
-                "build a new QSVTLinearSolver")
-        # the backend may be shared: another solver (or a direct prepare()
-        # call) can have re-synthesised it for a different matrix, in which
-        # case this solver's matrix is intact but the backend's compiled
-        # artefacts are not ours anymore.
-        if current != self.backend.synthesis_fingerprint:
+        # the matrix is read-only, so the synthesis can only stop matching it
+        # when another solver re-prepared a backend instance this one shares.
+        if self.backend.prepared_for is not self.matrix:
             raise StaleSynthesisError(
                 "the backend's compiled synthesis no longer matches this solver's "
                 "matrix (the backend instance was re-prepared for a different "

@@ -8,9 +8,7 @@ solves against the same matrix at the same inner accuracy should share one
 synthesis.  :class:`CompiledSolverCache` provides exactly that, keyed by
 
 * the **matrix fingerprint** (:func:`repro.utils.matrix_fingerprint`, exact
-  bytes — the same guard :class:`repro.core.qsvt_solver.QSVTLinearSolver`
-  uses for staleness detection, so cache keys can never serve a mutated
-  matrix),
+  bytes, so a mutated matrix is a different key),
 * the inner accuracy ``ε_l``,
 * the backend kind and its options.
 
@@ -43,11 +41,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-import numpy as np
-
 from ..core.backends import QSVTBackend
 from ..core.qsvt_solver import QSVTLinearSolver
-from ..linalg.operators import is_structured_operator
 from ..obs.trace import span as obs_span
 from ..utils import matrix_fingerprint
 
@@ -181,7 +176,8 @@ class CompiledSolverCache:
         the lookup skips re-hashing; passing a hash that does not match the
         bytes poisons the entry, exactly like handing the wrong matrix.
 
-        The cached solver owns a *private copy* of the matrix: mutating the
+        The compiled solver owns a read-only copy of the matrix (see
+        :class:`~repro.core.qsvt_solver.QSVTLinearSolver`): mutating the
         caller's array afterwards can therefore never poison the entry —
         requests presenting the original bytes keep hitting a solver whose
         matrix still matches them.  Every lookup is counted as exactly one
@@ -224,17 +220,11 @@ class CompiledSolverCache:
                     self._install(key, restored, store_hit=True)
                     return restored
             # compile outside the global lock: synthesis can take seconds and
-            # other keys must not serialise behind it.  The solver gets its
-            # own copy of the matrix so later caller-side mutations cannot
-            # reach the cached synthesis.  Only StructuredOperator instances
-            # skip the copy: their read-only storage is a class guarantee,
-            # which arbitrary matvec-shaped objects do not give.
+            # other keys must not serialise behind it.
             try:
-                owned = (matrix if is_structured_operator(matrix)
-                         else np.array(matrix, dtype=float, copy=True))
                 with obs_span("compile", backend=str(backend),
                               epsilon_l=float(epsilon_l)):
-                    solver = QSVTLinearSolver(owned,
+                    solver = QSVTLinearSolver(matrix,
                                               epsilon_l=epsilon_l,
                                               backend=backend,
                                               kappa=kappa, **backend_options)

@@ -84,10 +84,10 @@ class BackendError(ReproError, RuntimeError):
 class StaleSynthesisError(BackendError):
     """Compiled solver artefacts no longer match the matrix they were built for.
 
-    Raised when a matrix is mutated in place after circuit synthesis (detected
-    by a fingerprint mismatch, see :func:`repro.utils.matrix_fingerprint`);
+    A solver's matrix is read-only, so this can only happen when a backend
+    instance is shared between solvers and another one re-prepared it;
     call :meth:`repro.core.qsvt_solver.QSVTLinearSolver.recompile` to refresh
-    the synthesis, or build a new solver."""
+    the synthesis, or give each solver its own backend."""
 
 
 class ResourceModelError(ReproError, ValueError):

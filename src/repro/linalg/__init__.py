@@ -5,8 +5,9 @@ computing residuals, updating the solution, estimating the condition number
 used to size the polynomial approximation, factorising matrices for the
 classical baselines, and generating the test problems of Sec. IV (random
 matrices with a prescribed condition number, the 1-D Poisson matrix).  All of
-those building blocks live here and are written from scratch on top of numpy
-(scipy is used only in tests for cross-checking).
+those building blocks live here and are written from scratch on top of numpy;
+the structured operators hand their sparse products and banded solves to
+scipy's compiled kernels.
 """
 
 from .norms import (

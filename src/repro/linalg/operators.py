@@ -16,9 +16,9 @@ and exposes exactly the contract the rest of the stack needs:
   admits them (symmetric tridiagonal Toeplitz bands, Kronecker sums of
   symmetric terms, shifted spectra), which replaces the dense SVD in the
   subnormalisation/κ sizing of the QSVT polynomial;
-* ``solve()`` — a classical structure-exploiting direct solve (Thomas /
-  banded LU, Kronecker fast diagonalisation, conjugate gradients) providing
-  the checkable reference solutions of the problem suite at ``O(nnz)``-ish
+* ``solve()`` — a classical structure-exploiting direct solve (banded LU,
+  Kronecker fast diagonalisation, conjugate gradients) providing the
+  checkable reference solutions of the problem suite at ``O(nnz)``-ish
   cost instead of ``O(N³)``;
 * ``fingerprint_parts()`` / ``to_state()`` — content hashing and zero-copy
   shared-memory transport of the structured storage without densifying.
@@ -39,9 +39,10 @@ import json
 import os
 
 import numpy as np
+from scipy.linalg import solve_banded
+from scipy.sparse import csr_matrix
 
 from ..exceptions import DimensionError
-from .tridiagonal import thomas_solve
 
 __all__ = [
     "StructuredOperator",
@@ -585,27 +586,13 @@ class BandedOperator(StructuredOperator):
         rhs = np.asarray(b, dtype=np.float64)
         nl = -min(min(self._bands), 0)
         nu = max(max(self._bands), 0)
-        try:
-            from scipy.linalg import solve_banded
-        except ImportError:  # pragma: no cover - scipy is a baked-in dep
-            solve_banded = None
-        if solve_banded is not None:
-            ab = np.zeros((nl + nu + 1, self._n))
-            for k, d in self._bands.items():
-                if k >= 0:
-                    ab[nu - k, k:] = d
-                else:
-                    ab[nu - k, :self._n + k] = d
-            return solve_banded((nl, nu), ab, rhs)
-        if nl <= 1 and nu <= 1:
-            zero = np.zeros(self._n - 1)
-            diags = (self._bands.get(-1, zero), self._bands[0],
-                     self._bands.get(1, zero))
-            if rhs.ndim == 1:
-                return thomas_solve(diags, rhs)
-            return np.column_stack([thomas_solve(diags, rhs[:, j])
-                                    for j in range(rhs.shape[1])])
-        return super().solve(b)
+        ab = np.zeros((nl + nu + 1, self._n))
+        for k, d in self._bands.items():
+            if k >= 0:
+                ab[nu - k, k:] = d
+            else:
+                ab[nu - k, :self._n + k] = d
+        return solve_banded((nl, nu), ab, rhs)
 
 
 # ---------------------------------------------------------------------- #
@@ -687,11 +674,10 @@ class CSROperator(StructuredOperator):
         return self._row_cache
 
     def _scipy_matrix(self):
-        """scipy CSR view of the frozen arrays (built once); None without scipy.
+        """scipy CSR view of the frozen arrays (built once).
 
-        The numpy kernels below are memory-bandwidth-bound (every gathered
-        ``x[indices]`` materialises an ``(nnz, B)`` block); scipy's single-pass
-        C kernel avoids the intermediate entirely.  Wrapping is not free:
+        Every product runs scipy's single-pass C kernel, which reads the
+        frozen CSR arrays in place.  Wrapping is not free:
         scipy validates the arrays and downcasts the int64 index arrays to
         int32 copies, 0.05–0.1 ms at ``N = 16384`` (1–2x the matvec kernel
         itself, 2-vCPU Xeon).  The view is therefore built on first use and
@@ -700,50 +686,21 @@ class CSROperator(StructuredOperator):
         indices on top of ``nnz_bytes()``.
         """
         if self._sparse_cache is None:
-            try:
-                from scipy.sparse import csr_matrix
-            except ImportError:  # pragma: no cover - scipy is a baked-in dep
-                return None
             self._sparse_cache = csr_matrix(
                 (self._data, self._indices, self._indptr),
                 shape=(self._n, self._n))
         return self._sparse_cache
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        # both routes accumulate in float64, which is exactly the operator's
+        # scipy accumulates in float64, which is exactly the operator's
         # dtype contract: any real input promotes to float64.
         vec = np.asarray(x, dtype=np.float64)
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return sparse @ vec
-        return np.bincount(self._rows, weights=self._data * vec[self._indices],
-                           minlength=self._n)
+        return self._scipy_matrix() @ vec
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Wide-batch product without a per-column Python loop.
-
-        Dispatches to scipy's single-pass C kernel when available (it reads
-        the frozen CSR arrays in place), else falls back to one
-        ``np.add.reduceat`` contraction over the gathered
-        ``data ⊙ x[indices]`` block.  ``reduceat`` has one wart: a start
-        index with an empty segment returns the *element* at that index
-        instead of zero (and an index equal to ``nnz`` is out of range), so
-        empty rows are clamped and zeroed afterwards.
-        """
+        """Wide-batch product without a per-column Python loop."""
         block = np.asarray(x, dtype=np.float64)
-        if block.shape[1] == 0 or self.nnz == 0:
-            return np.zeros((self._n, block.shape[1]))
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return np.asarray(sparse @ block)
-        contrib = self._data[:, None] * block[self._indices]
-        counts = np.diff(self._indptr)
-        if counts.min() > 0:
-            return np.add.reduceat(contrib, self._indptr[:-1], axis=0)
-        starts = np.minimum(self._indptr[:-1], self.nnz - 1)
-        out = np.add.reduceat(contrib, starts, axis=0)
-        out[counts == 0] = 0.0
-        return out
+        return np.asarray(self._scipy_matrix() @ block)
 
     def _matmat_loop(self, x: np.ndarray) -> np.ndarray:
         """The pre-vectorisation per-column kernel (benchmark baseline)."""
@@ -756,25 +713,11 @@ class CSROperator(StructuredOperator):
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         vec = np.asarray(x, dtype=np.float64)
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return sparse.T @ vec
-        return np.bincount(self._indices,
-                           weights=self._data * vec[self._rows],
-                           minlength=self._n)
+        return self._scipy_matrix().T @ vec
 
     def rmatmat(self, x: np.ndarray) -> np.ndarray:
         block = np.asarray(x, dtype=np.float64)
-        b = block.shape[1]
-        if b == 0 or self.nnz == 0:
-            return np.zeros((self._n, b))
-        sparse = self._scipy_matrix()
-        if sparse is not None:
-            return np.asarray(sparse.T @ block)
-        contrib = (self._data[:, None] * block[self._rows]).ravel()
-        flat = self._indices[:, None] * b + np.arange(b, dtype=np.int64)
-        return np.bincount(flat.ravel(), weights=contrib,
-                           minlength=self._n * b).reshape(self._n, b)
+        return np.asarray(self._scipy_matrix().T @ block)
 
     # ------------------------------------------------------------------ #
     @property

@@ -185,7 +185,8 @@ def test_cache_mutation_invalidates_by_fingerprint():
     second = cache.solver(matrix, epsilon_l=5e-2, backend="exact")
     assert second is not first
     assert cache.compiles == 2
-    assert not second.is_stale()
+    assert np.array_equal(second.matrix, matrix)
+    assert not np.array_equal(first.matrix, matrix)
 
 
 def test_cache_lru_eviction_and_invalidate():
@@ -235,8 +236,8 @@ def test_cache_rejects_identity_keyed_option_values():
 
 
 def test_cache_entry_survives_caller_side_mutation():
-    # the cached solver owns a private copy, so mutating the caller's array
-    # must not poison the entry for later same-bytes requests.
+    # the cached solver owns a read-only copy, so mutating the caller's
+    # array must not poison the entry for later same-bytes requests.
     matrix = random_matrix_with_condition_number(4, 3.0, rng=7)
     original = matrix.copy()
     rhs = random_rhs(4, rng=8)
@@ -245,7 +246,7 @@ def test_cache_entry_survives_caller_side_mutation():
     matrix[0, 0] += 5.0
     again = cache.solver(original, epsilon_l=5e-2, backend="ideal")
     assert again is first
-    assert not again.is_stale()
+    assert np.array_equal(again.matrix, original)
     assert again.solve(rhs).scaled_residual <= 5e-1  # solves, no stale error
 
 
@@ -284,29 +285,26 @@ def test_shared_backend_across_solvers_is_detected():
 
 
 # ---------------------------------------------------------------------- #
-# staleness guard (shared fingerprint machinery)
+# stale synthesis is prevented: the solver owns a read-only matrix
 # ---------------------------------------------------------------------- #
-def test_solver_detects_in_place_mutation():
+def test_solver_matrix_cannot_be_mutated_under_its_synthesis():
     matrix = random_matrix_with_condition_number(4, 3.0, rng=2)
     rhs = random_rhs(4, rng=3)
     solver = QSVTLinearSolver(matrix, epsilon_l=5e-2, backend="ideal")
-    assert not solver.is_stale()
-    assert not solver.backend.is_stale(solver.matrix)
-    baseline = solver.solve(rhs).scaled_residual
-    solver.matrix *= 2.0  # the compiled synthesis is now for the wrong matrix
-    assert solver.is_stale()
-    with pytest.raises(StaleSynthesisError):
-        solver.solve(rhs)
-    with pytest.raises(StaleSynthesisError):
-        solver.solve_batch(rhs[None, :])
+    before = solver.solve(rhs).x
+    before_batch = solver.solve_batch(rhs[None, :])[0].x
+    with pytest.raises(ValueError):
+        solver.matrix *= 2.0  # read-only: the synthesis cannot go stale
+    matrix *= 2.0  # the caller's array is not the solver's copy
+    assert np.array_equal(solver.solve(rhs).x, before)
+    assert np.array_equal(solver.solve_batch(rhs[None, :])[0].x, before_batch)
     solver.recompile()
-    assert not solver.is_stale()
-    assert solver.solve(rhs).scaled_residual <= 10 * baseline
+    assert np.array_equal(solver.solve(rhs).x, before)
 
 
 def test_custom_backend_without_fingerprinting_works_through_solver():
-    # third-party prepare() implementations that never call _record_synthesis
-    # must not trip the staleness guard: the solver records on their behalf.
+    # third-party prepare() implementations know nothing of the solver's
+    # staleness guard: the solver stamps the backend on their behalf.
     from repro.core import QSVTBackend
     from repro.core.backends import BackendApplication
 

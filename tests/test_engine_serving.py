@@ -172,8 +172,10 @@ def test_store_roundtrip_matches_fresh_compile(tmp_path, backend):
     assert restored is not compiled
     np.testing.assert_allclose(restored.solve(rhs).x, compiled.solve(rhs).x,
                                atol=1e-12, rtol=0)
-    # the restored solver is a full citizen: fingerprinted, sized, described
-    assert not restored.is_stale()
+    # the restored solver is a full citizen: batch-solves, sized, described
+    np.testing.assert_allclose(restored.solve_batch(rhs[None, :])[0].x,
+                               compiled.solve_batch(rhs[None, :])[0].x,
+                               atol=1e-12, rtol=0)
     assert restored.payload_bytes() == compiled.payload_bytes()
     assert restored.describe()["backend"] == compiled.describe()["backend"]
     # second lookup through the same cache is a plain in-memory hit
@@ -205,7 +207,7 @@ def test_store_corruption_falls_back_to_recompilation(tmp_path):
     solver = cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
     assert cache.stats()["compiles"] == 1      # fell back to synthesis
     assert store.stats()["corrupt"] == 1
-    assert not solver.is_stale()
+    assert solver.solve(random_rhs(8, rng=10)).scaled_residual <= 5e-1
     # the corrupt entry was deleted and replaced by the recompilation
     assert len(store) == 1
     fresh = CompiledSolverCache(store=store)

@@ -6,7 +6,8 @@ and achieved accuracy, and :class:`~repro.linalg.operators.CSROperator`
 wraps its frozen arrays in a scipy kernel view once.  These tests pin that
 every cached value is bit-identical to the per-call computation it replaced,
 that no cache survives a re-``prepare`` or leaks into an operator's identity
-(fingerprint, byte accounting, transport state, pickles).
+(fingerprint, byte accounting, transport state, pickles).  A solver owns a
+read-only matrix on every construction route, so a warm solve never hashes it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import pytest
 
 import repro.core.backends as backends_module
 import repro.qsp.inverse_polynomial as inverse_polynomial_module
-from repro.core import IdealPolynomialBackend
+import repro.utils.fingerprint as fingerprint_module
+from repro.core import IdealPolynomialBackend, QSVTLinearSolver
+from repro.engine import CompiledSolverCache, SynthesisStore
+from repro.linalg import poisson_1d_matrix, random_matrix_with_condition_number
 from repro.linalg.operators import (
     CSROperator,
     DiagonalShiftOperator,
@@ -214,7 +218,7 @@ def _csr_operator(seed: int = 0, n: int = 40) -> CSROperator:
     gen = np.random.default_rng(seed)
     dense = np.where(gen.random((n, n)) < 0.15, gen.standard_normal((n, n)), 0.0)
     dense[np.arange(n), np.arange(n)] += 4.0
-    dense[3] = 0.0  # an empty row exercises the reduceat clamp
+    dense[3] = 0.0  # an empty row
     return CSROperator.from_dense(dense)
 
 
@@ -236,18 +240,6 @@ def test_cached_view_matches_uncached_csr_product_bit_for_bit():
         for name in want:
             assert np.array_equal(got[name], np.asarray(want[name])), name
     assert op._scipy_matrix() is op._scipy_matrix()
-
-
-def test_cached_view_matches_numpy_fallback(monkeypatch):
-    op = _csr_operator(seed=2)
-    fallback = _csr_operator(seed=2)
-    monkeypatch.setattr(fallback, "_scipy_matrix", lambda: None)
-    gen = np.random.default_rng(3)
-    vec, block = gen.standard_normal(40), gen.standard_normal((40, 6))
-    got, want = _products(op, vec, block), _products(fallback, vec, block)
-    for name in want:
-        np.testing.assert_allclose(got[name], want[name], rtol=1e-14,
-                                   atol=1e-14, err_msg=name)
 
 
 def _identity(op) -> tuple:
@@ -320,3 +312,84 @@ def test_lazy_caches_under_concurrent_first_use():
     for matvec, error, degree in results:
         assert np.array_equal(matvec, want_matvec)
         assert (error, degree) == want
+
+
+# ---------------------------------------------------------------------- #
+# solvers own a read-only matrix: a warm solve never hashes it
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def fingerprint_calls(monkeypatch) -> list[str]:
+    """Record every ``matrix_fingerprint`` call, whichever module made it."""
+    original = fingerprint_module.matrix_fingerprint
+    calls = []
+
+    def counting(array):
+        calls.append(type(array).__name__)
+        return original(array)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "repro"
+                and getattr(module, "matrix_fingerprint", None) is original):
+            monkeypatch.setattr(module, "matrix_fingerprint", counting)
+    return calls
+
+
+def _warm_solver(kind: str) -> QSVTLinearSolver:
+    if kind == "csr":
+        return QSVTLinearSolver(CSROperator.from_dense(poisson_1d_matrix(16)),
+                                epsilon_l=5e-2, backend="ideal")
+    matrix = random_matrix_with_condition_number(8, 4.0, rng=20)
+    return QSVTLinearSolver(matrix, epsilon_l=5e-2,
+                            backend="ideal" if kind == "dense-ideal" else kind)
+
+
+@pytest.mark.parametrize("kind", ["dense-ideal", "circuit", "csr"])
+def test_warm_solves_never_hash_the_matrix(kind, fingerprint_calls):
+    solver = _warm_solver(kind)
+    batch = _rhs_batch(solver.dimension, seed=21)
+    fingerprint_calls.clear()
+    solver.solve(batch[0])
+    solver.solve_batch(batch)
+    assert fingerprint_calls == []
+
+
+def _restored_from_store(matrix, tmp_path) -> QSVTLinearSolver:
+    store = SynthesisStore(tmp_path)
+    CompiledSolverCache(store=store).solver(matrix, epsilon_l=5e-2,
+                                            backend="ideal")
+    cache = CompiledSolverCache(store=store)
+    solver = cache.solver(matrix, epsilon_l=5e-2, backend="ideal")
+    assert cache.store_hits == 1
+    return solver
+
+
+def _restored_from_payload(matrix, tmp_path) -> QSVTLinearSolver:
+    payload = QSVTLinearSolver(matrix, epsilon_l=5e-2,
+                               backend="ideal").export_payload()
+    # writeable arrays, as a payload read back from disk would carry
+    payload["arrays"] = {name: np.array(array)
+                         for name, array in payload["arrays"].items()}
+    return QSVTLinearSolver.from_payload(payload)
+
+
+SOLVER_ROUTES = {
+    "construct": lambda matrix, tmp_path: QSVTLinearSolver(
+        matrix, epsilon_l=5e-2, backend="ideal"),
+    "recompile": lambda matrix, tmp_path: QSVTLinearSolver(
+        matrix, epsilon_l=5e-2, backend="ideal").recompile(),
+    "from_payload": _restored_from_payload,
+    "cache_miss": lambda matrix, tmp_path: CompiledSolverCache().solver(
+        matrix, epsilon_l=5e-2, backend="ideal"),
+    "store_restore": _restored_from_store,
+}
+
+
+@pytest.mark.parametrize("route", sorted(SOLVER_ROUTES))
+def test_solver_matrix_is_read_only_on_every_route(route, tmp_path):
+    matrix = random_matrix_with_condition_number(8, 4.0, rng=22)
+    solver = SOLVER_ROUTES[route](matrix, tmp_path)
+    assert solver.matrix.flags.writeable is False
+    assert np.array_equal(solver.matrix, matrix)
+    assert matrix.flags.writeable  # the caller keeps a writeable array
+    with pytest.raises(ValueError):
+        solver.matrix[0, 0] = 1.0
